@@ -126,6 +126,14 @@ class IntPair {
 }
 )";
 
+/// \p S as a quoted JSON string.
+std::string jsonString(const std::string &S) {
+  std::string Out = "\"";
+  enerj::obs::json::appendEscaped(Out, S);
+  Out += '"';
+  return Out;
+}
+
 int check(const std::string &Source, bool Quiet = false) {
   DiagnosticEngine Diags;
   ClassTable Table;
@@ -393,9 +401,10 @@ int optMode(int Argc, char **Argv) {
   std::string Rendered;
   if (Json) {
     std::ostringstream Out;
-    Out << "{\"tool\": \"fenerj-opt\", \"version\": 1, \"file\": \"" << File
-        << "\", \"ok\": " << (Report.Ok ? "true" : "false")
-        << ", \"error\": \"" << Report.Error << "\""
+    Out << "{\"tool\": \"fenerj-opt\", \"version\": 1, \"file\": "
+        << jsonString(File)
+        << ", \"ok\": " << (Report.Ok ? "true" : "false")
+        << ", \"error\": " << jsonString(Report.Error)
         << ", \"level\": \"" << enerj::approxLevelName(Options.EnergyLevel)
         << "\", \"opsBefore\": " << Report.OpsBefore
         << ", \"opsAfter\": " << Report.OpsAfter
@@ -419,7 +428,7 @@ int optMode(int Argc, char **Argv) {
           << ", \"accepted\": " << (Pass.Accepted ? "true" : "false")
           << ", \"rewritten\": " << Pass.Rewritten
           << ", \"removed\": " << Pass.Removed
-          << ", \"rejectReason\": \"" << Pass.RejectReason << "\""
+          << ", \"rejectReason\": " << jsonString(Pass.RejectReason)
           << ", \"opsAfter\": " << Pass.OpsAfter
           << ", \"energyFactor\": " << Buffer << "}";
     }
@@ -585,8 +594,9 @@ int boundMode(int Argc, char **Argv) {
   std::string PayloadJson;
   {
     std::ostringstream Out;
-    Out << "{\"tool\": \"fenerj-bound\", \"version\": 1, \"file\": \""
-        << File << "\", \"level\": \"" << enerj::approxLevelName(Level)
+    Out << "{\"tool\": \"fenerj-bound\", \"version\": 1, \"file\": "
+        << jsonString(File)
+        << ", \"level\": \"" << enerj::approxLevelName(Level)
         << "\", \"conservative\": " << (Report.Conservative ? "true" : "false")
         << ", \"pathBound\": " << Fmt(Report.PathBound)
         << ", \"intOutputBound\": " << Fmt(Report.IntOutputBound)

@@ -133,7 +133,7 @@ SsaForm enerj::analysis::opt::buildSsa(const OptProgram &Program,
 
   std::vector<Frame> Dfs;
   auto Enter = [&](unsigned Block) {
-    Frame F{Block};
+    Frame F{Block, 0, {}};
     if (Block != Program.exitId()) {
       const OptBlock &B = Program.Blocks[Block];
       for (auto &[Reg, Id] : S.BlockPhis[Block]) {

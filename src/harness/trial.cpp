@@ -3,10 +3,10 @@
 #include "harness/trial.h"
 
 #include "exec/compiled.h"
-#include "resilience/trial_abort.h"
 #include "runtime/simulator.h"
 #include "support/rng.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <exception>
@@ -17,6 +17,8 @@
 
 using namespace enerj;
 using namespace enerj::harness;
+using resilience::ResiliencePolicy;
+using resilience::TrialOutcome;
 
 TrialRunner::TrialRunner(unsigned Threads) : Threads(Threads) {
   if (this->Threads == 0) {
@@ -28,23 +30,24 @@ TrialRunner::TrialRunner(unsigned Threads) : Threads(Threads) {
 
 namespace {
 
-/// One guarded approximate execution: like apps::runApproximate, but the
-/// application runs inside a try block *while the simulator is still in
-/// scope*, so a watchdog abort (or any in-trial exception) still yields
-/// the partial statistics up to the abort point — aborted work is real
-/// work and is charged. When the trial requests telemetry, a Telemetry
-/// bundle is attached for the attempt and harvested here.
+/// What one execution of a trial measured, on either engine. The attempt
+/// loop reads nothing else, so everything engine-specific stays inside
+/// the two functions that fill this record.
 struct Attempt {
-  apps::AppRun Run;
-  bool Aborted = false;
-  std::string Error;
-  uint64_t EndCycle = 0; ///< The simulator clock when the attempt ended.
-  obs::MetricsRegistry Metrics;
-  std::vector<obs::TraceEvent> Trace;
-  uint64_t TraceDropped = 0;
+  RunStats Stats;           ///< Partial up to the abort point.
+  uint64_t EndCycle = 0;    ///< The engine clock when the attempt ended.
+  bool Aborted = false;     ///< Contained exception, watchdog or ISA trap.
+  std::string Error;        ///< Its message.
   env::PowerStats Power;    ///< Environment accounting (all-zero if off).
   bool PowerFailed = false; ///< The supply never let the attempt finish.
   std::array<uint64_t, env::NumPowerOpClasses> PowerMix{};
+  obs::MetricsRegistry Metrics;
+  std::vector<obs::TraceEvent> Trace;
+  uint64_t TraceDropped = 0;
+  double QosError = 1.0; ///< Against the precise run; meaningless if failed.
+  bool Sane = true;      ///< The output passed the policy's sanity check.
+
+  bool failed() const { return Aborted || PowerFailed || !Sane; }
 };
 
 /// Folds one attempt's power accounting into the trial total: the event
@@ -61,189 +64,129 @@ void accumulatePower(env::PowerStats &Total, const env::PowerStats &A) {
   Total.Survived = A.Survived;
 }
 
-/// Trace-event kind of one power-meter event.
-obs::TraceEventKind powerEventKind(env::PowerEventKind Kind) {
-  return Kind == env::PowerEventKind::Loss ? obs::TraceEventKind::PowerLoss
-         : Kind == env::PowerEventKind::Checkpoint
-             ? obs::TraceEventKind::Checkpoint
-             : obs::TraceEventKind::Restore;
+/// The trace event of one power-meter event.
+obs::TraceEvent powerEvent(env::PowerEventKind Kind, uint64_t At) {
+  obs::TraceEventKind EventKind =
+      Kind == env::PowerEventKind::Loss ? obs::TraceEventKind::PowerLoss
+      : Kind == env::PowerEventKind::Checkpoint
+          ? obs::TraceEventKind::Checkpoint
+          : obs::TraceEventKind::Restore;
+  return {At, At, EventKind, obs::OpKind::PreciseInt, 0};
 }
 
-Attempt runAttempt(const apps::Application &App, const FaultConfig &Config,
-                   uint64_t WorkloadSeed, const obs::TelemetryRequest &Obs,
-                   const env::PowerEnv *Power) {
+void harvestPower(Attempt &A, const std::optional<env::PowerMeter> &Meter) {
+  if (!Meter)
+    return;
+  A.Power = Meter->stats();
+  A.PowerFailed = Meter->failed();
+  A.PowerMix = Meter->opMix();
+}
+
+/// The interpreter engine: the application on a fresh Simulator. The app
+/// runs inside a try block *while the simulator is still in scope*, so a
+/// watchdog abort (or any in-trial exception) still yields the partial
+/// statistics up to the abort point — aborted work is real work and is
+/// charged. Scores against \p Reference and, under an enabled policy,
+/// checks output sanity.
+Attempt runInterpAttempt(const Trial &T, const FaultConfig &Config,
+                         const apps::AppOutput &Reference,
+                         const ResiliencePolicy &Policy) {
   FaultConfig RunConfig = Config;
-  // The same per-trial stream derivation as apps::runApproximate; retry
-  // attempts pre-mix the attempt number into Config.Seed.
-  RunConfig.Seed = mixSeed(Config.Seed, WorkloadSeed);
+  RunConfig.Seed = mixSeed(Config.Seed, T.WorkloadSeed);
   Simulator Sim(RunConfig);
   std::optional<obs::Telemetry> Tel;
-  if (Obs.enabled()) {
-    Tel.emplace(Obs);
+  if (T.Obs.enabled()) {
+    Tel.emplace(T.Obs);
     Sim.attachTelemetry(&*Tel);
   }
   std::optional<env::PowerMeter> Meter;
-  if (Power) {
-    Meter.emplace(*Power, RunConfig);
-    if (Tel && Obs.Trace)
+  if (T.Power) {
+    Meter.emplace(*T.Power, RunConfig);
+    if (Tel && T.Obs.Trace)
       Meter->Events = [&Tel](env::PowerEventKind Kind, uint64_t At) {
-        Tel->Trace.push(
-            {At, At, powerEventKind(Kind), obs::OpKind::PreciseInt, 0});
+        Tel->Trace.push(powerEvent(Kind, At));
       };
     Sim.attachPowerMeter(&*Meter);
   }
   Attempt A;
+  apps::AppOutput Output;
   {
     SimulatorScope Scope(Sim);
     try {
-      A.Run.Output = App.run(WorkloadSeed);
-    } catch (const resilience::TrialAbort &Abort) {
-      A.Aborted = true;
-      A.Error = Abort.what();
+      Output = T.App->run(T.WorkloadSeed);
     } catch (const std::exception &E) {
       A.Aborted = true;
       A.Error = E.what();
     }
   }
-  A.Run.Stats = Sim.stats();
+  A.Stats = Sim.stats();
   A.EndCycle = Sim.now();
   if (Tel) {
     Tel->Metrics.setRegionStorage(Sim.ledger().snapshotTagged());
-    if (Obs.Trace) {
+    if (T.Obs.Trace) {
       A.Trace = Tel->Trace.drain();
       A.TraceDropped = Tel->Trace.dropped();
     }
     A.Metrics = std::move(Tel->Metrics);
   }
-  if (Meter) {
-    A.Power = Meter->stats();
-    A.PowerFailed = Meter->failed();
-    A.PowerMix = Meter->opMix();
-  }
+  harvestPower(A, Meter);
+  A.Sane = !Policy.Enabled ||
+           resilience::outputSane(Output.Numeric, Policy.OutputAbsBound);
+  if (!A.failed())
+    A.QosError = T.App->qosError(Reference, Output);
   return A;
 }
 
-/// Containment at the trial boundary: whatever escapes a trial becomes a
-/// failed TrialResult instead of std::terminate tearing down the pool.
-TrialResult runContained(const Trial &T,
-                         const resilience::ResiliencePolicy &Policy) {
-  try {
-    return TrialRunner::runOne(T, Policy);
-  } catch (const std::exception &E) {
-    TrialResult Failed;
-    Failed.QosError = 1.0;
-    Failed.Outcome = resilience::TrialOutcome::Aborted;
-    Failed.FinalLevel = T.Config.Level;
-    Failed.EffectiveEnergyFactor = 0.0;
-    Failed.Error = E.what();
-    return Failed;
-  } catch (...) {
-    TrialResult Failed;
-    Failed.QosError = 1.0;
-    Failed.Outcome = resilience::TrialOutcome::Aborted;
-    Failed.FinalLevel = T.Config.Level;
-    Failed.EffectiveEnergyFactor = 0.0;
-    Failed.Error = "unknown exception escaped the trial";
-    return Failed;
+/// The compiled engine: \p Kernel on a FastMachine with batched fault
+/// injection. QoS comes from the kernel's baked-in precise reference,
+/// which also stands in for the sanity check.
+Attempt runCompiledAttempt(const exec::CompiledKernel &Kernel, const Trial &T,
+                           const FaultConfig &Config) {
+  Attempt A;
+  std::optional<env::PowerMeter> Meter;
+  if (T.Power) {
+    Meter.emplace(*T.Power, Config);
+    if (T.Obs.Trace)
+      Meter->Events = [&A](env::PowerEventKind Kind, uint64_t At) {
+        A.Trace.push_back(powerEvent(Kind, At));
+      };
   }
+  exec::CompiledTrialResult R = exec::runCompiledTrial(
+      Kernel, Config, T.WorkloadSeed, T.Obs.Metrics, BlockMode::Batched,
+      Meter ? &*Meter : nullptr, Config.OpBudgetOps);
+  A.Stats = R.Stats;
+  A.EndCycle = R.Cycles;
+  A.Aborted = R.Trapped;
+  A.Error = std::move(R.Error);
+  A.Metrics = std::move(R.Metrics);
+  A.QosError = R.QosError;
+  harvestPower(A, Meter);
+  return A;
+}
+
+/// A harness marker on the trial timeline.
+obs::TrialTraceEvent marker(int AttemptIndex, uint64_t At, uint64_t Arg,
+                            obs::TraceEventKind Kind) {
+  return {AttemptIndex, {At, Arg, Kind, obs::OpKind::PreciseInt, 0}};
 }
 
 /// Appends one attempt's trace to the trial-level timeline, bracketed by
 /// harness markers. Region ids are used as-is: every attempt of a trial
-/// interns regions in execution order over the same application code, so
-/// ids agree across attempts (an aborted attempt's table is a prefix).
+/// interns regions in execution order over the same code, so ids agree
+/// across attempts (an aborted attempt's table is a prefix).
 void collectAttemptTrace(TrialResult &Result, const Attempt &A,
                          int AttemptIndex, ApproxLevel Level,
                          bool Accepted) {
-  Result.Trace.push_back(
-      {AttemptIndex,
-       {0, static_cast<uint64_t>(Level), obs::TraceEventKind::AttemptBegin,
-        obs::OpKind::PreciseInt, 0}});
+  Result.Trace.push_back(marker(AttemptIndex, 0, static_cast<uint64_t>(Level),
+                                obs::TraceEventKind::AttemptBegin));
   for (const obs::TraceEvent &E : A.Trace)
     Result.Trace.push_back({AttemptIndex, E});
   if (A.Aborted)
-    Result.Trace.push_back({AttemptIndex,
-                            {A.EndCycle, A.EndCycle,
-                             obs::TraceEventKind::Abort,
-                             obs::OpKind::PreciseInt, 0}});
-  Result.Trace.push_back(
-      {AttemptIndex,
-       {A.EndCycle, Accepted ? 1u : 0u, obs::TraceEventKind::AttemptEnd,
-        obs::OpKind::PreciseInt, 0}});
+    Result.Trace.push_back(marker(AttemptIndex, A.EndCycle, A.EndCycle,
+                                  obs::TraceEventKind::Abort));
+  Result.Trace.push_back(marker(AttemptIndex, A.EndCycle, Accepted ? 1 : 0,
+                                obs::TraceEventKind::AttemptEnd));
   Result.TraceDropped += A.TraceDropped;
-}
-
-/// The compiled path: the trial's verified kernel runs on a FastMachine
-/// with batched fault injection; QoS comes from the kernel's baked-in
-/// precise reference, so no second execution is needed. The stats are
-/// priced through the same energy model as the interpreter path.
-TrialResult runCompiled(const Trial &T) {
-  TrialResult Result;
-  // The same harness markers the interpreter path brackets its attempts
-  // with: a journal of a compiled trial carries the attempt/power
-  // timeline even though the FastMachine's batched injector has no
-  // per-fault events.
-  if (T.Obs.Trace)
-    Result.Trace.push_back(
-        {0,
-         {0, static_cast<uint64_t>(T.Config.Level),
-          obs::TraceEventKind::AttemptBegin, obs::OpKind::PreciseInt, 0}});
-  std::optional<env::PowerMeter> Meter;
-  if (T.Power) {
-    Meter.emplace(*T.Power, T.Config);
-    if (T.Obs.Trace)
-      Meter->Events = [&Result](env::PowerEventKind Kind, uint64_t At) {
-        Result.Trace.push_back(
-            {0, {At, At, powerEventKind(Kind), obs::OpKind::PreciseInt, 0}});
-      };
-  }
-  exec::CompiledTrialResult R = exec::runCompiledTrial(
-      *T.Kernel, T.Config, T.WorkloadSeed, T.Obs.Metrics,
-      BlockMode::Batched, Meter ? &*Meter : nullptr);
-  Result.FinalLevel = T.Config.Level;
-  Result.QosError = R.QosError;
-  Result.Stats = R.Stats;
-  Result.Energy = computeEnergy(R.Stats, T.Config);
-  Result.EffectiveEnergyFactor = Result.Energy.TotalFactor;
-  Result.ClockCycles = R.Cycles;
-  if (R.Trapped) {
-    Result.Outcome = resilience::TrialOutcome::Aborted;
-    Result.Error = R.Error;
-  }
-  if (Meter) {
-    Result.Power = Meter->stats();
-    Result.EffectiveEnergyFactor =
-        Result.Energy.TotalFactor * Result.Power.overheadRatio();
-    if (Meter->failed()) {
-      Result.Outcome = resilience::TrialOutcome::PowerFailed;
-      Result.QosError = 1.0;
-    }
-  }
-  if (T.Obs.Metrics)
-    Result.Metrics = std::move(R.Metrics);
-  if (T.Obs.Trace) {
-    bool Accepted = Result.Outcome == resilience::TrialOutcome::Ok;
-    if (R.Trapped)
-      Result.Trace.push_back({0,
-                              {R.Cycles, R.Cycles, obs::TraceEventKind::Abort,
-                               obs::OpKind::PreciseInt, 0}});
-    Result.Trace.push_back(
-        {0,
-         {R.Cycles, Accepted ? 1u : 0u, obs::TraceEventKind::AttemptEnd,
-          obs::OpKind::PreciseInt, 0}});
-  }
-  return Result;
-}
-
-/// The program for one ladder rung on the compiled path: the trial's own
-/// kernel when the rung matches, otherwise a cache lookup (nullptr ends
-/// the ladder when no cache was provided).
-const exec::CompiledKernel *kernelForLevel(const Trial &T, ApproxLevel Level) {
-  if (T.Kernel && T.Kernel->Level == Level)
-    return T.Kernel;
-  if (!T.Kernels || !T.Kernel)
-    return nullptr;
-  return &T.Kernels->get(T.Kernel->AppName, Level);
 }
 
 /// Advances \p Config one ladder rung after a failed retry round, or
@@ -255,48 +198,48 @@ const exec::CompiledKernel *kernelForLevel(const Trial &T, ApproxLevel Level) {
 /// prices as still unsustainable for the failed attempt's op mix are
 /// skipped. The last rung is always attempted: the forecast is a
 /// heuristic, the meter is the truth.
-bool advanceLadder(const Trial &T, const resilience::ResiliencePolicy &Policy,
-                   resilience::TrialOutcome LastOutcome,
+bool advanceLadder(const Trial &T, const ResiliencePolicy &Policy,
                    const std::array<uint64_t, env::NumPowerOpClasses> &Mix,
-                   FaultConfig &Config, int &LadderSteps, TrialResult &Result,
-                   int Attempts) {
-  if (!Policy.Degrade)
+                   FaultConfig &Config, TrialResult &Result, int Attempts) {
+  if (!Policy.Enabled || !Policy.Degrade)
     return false;
-  ApproxLevel NextLevel;
   if (T.Power) {
-    if (LastOutcome != resilience::TrialOutcome::PowerFailed ||
+    if (Result.Outcome != TrialOutcome::PowerFailed ||
         Config.Level == ApproxLevel::Aggressive)
       return false;
     FaultConfig Next = resilience::escalateConfig(Config);
     while (Next.Level != ApproxLevel::Aggressive &&
            !env::PowerMeter::forecastSustainable(*T.Power, Next, Mix))
       Next = resilience::escalateConfig(Next);
-    NextLevel = Next.Level;
     Config = Next;
   } else {
     if (Config.Level == ApproxLevel::None)
       return false;
     Config = resilience::degradeConfig(Config);
-    NextLevel = Config.Level;
   }
   if (T.Obs.Trace)
-    Result.Trace.push_back({Attempts,
-                            {0, static_cast<uint64_t>(NextLevel),
-                             obs::TraceEventKind::Degrade,
-                             obs::OpKind::PreciseInt, 0}});
-  ++LadderSteps;
+    Result.Trace.push_back(marker(Attempts, 0,
+                                  static_cast<uint64_t>(Config.Level),
+                                  obs::TraceEventKind::Degrade));
   return true;
 }
 
-/// The compiled path's recovery loop: the same retry-seed derivation and
-/// acceptance shape as the interpreter loop, with attempts dispatched
-/// onto cached (app, level) kernels — each ladder rung runs the binary
-/// compiled for that rung. QoS comes from the kernel's baked-in precise
-/// reference; acceptance is !trapped && !power-failed && QoS <= SLO (the
-/// reference-relative QoS already covers output sanity).
-TrialResult runCompiledResilient(const Trial &T,
-                                 const resilience::ResiliencePolicy &Policy) {
+/// The one attempt loop. Each ladder rung gets 1 + MaxRetries attempts;
+/// retry streams are keyed by mixSeed(config seed, retry), and each
+/// engine then folds in the workload seed, so attempt 0 keeps the
+/// trial's own stream. Every attempt is charged to the effective energy.
+/// Without an enabled policy this is one attempt with no SLO, sanity
+/// check or ladder, under the trial's own op budget.
+TrialResult runAttempts(const Trial &T, const ResiliencePolicy &Policy) {
   FaultConfig Config = T.Config;
+  if (Policy.Enabled)
+    Config.OpBudgetOps = Policy.OpBudget;
+  const int MaxRetries = Policy.Enabled ? Policy.MaxRetries : 0;
+  // The interpreter scores against one precise run per trial.
+  apps::AppOutput Reference;
+  if (!T.Kernel)
+    Reference = apps::runPrecise(*T.App, T.WorkloadSeed);
+
   TrialResult Result;
   Result.FinalLevel = Config.Level;
   int LadderSteps = 0;
@@ -304,201 +247,37 @@ TrialResult runCompiledResilient(const Trial &T,
   double EnergySum = 0.0;
   std::array<uint64_t, env::NumPowerOpClasses> LastMix{};
   for (;;) {
-    const exec::CompiledKernel *Kernel = kernelForLevel(T, Config.Level);
-    if (!Kernel)
-      break; // No program for this rung: keep the last attempt's verdict.
-    for (int Retry = 0; Retry <= Policy.MaxRetries; ++Retry) {
-      FaultConfig AttemptConfig = Config;
-      // Identical retry-stream derivation to the interpreter loop:
-      // mixSeed(config seed, attempt), with runCompiledTrial folding in
-      // the workload seed. Attempt 0 keeps the unmixed seed — bitwise
-      // identical to the no-policy compiled path.
-      if (Retry > 0)
-        AttemptConfig.Seed =
-            mixSeed(Config.Seed, static_cast<uint64_t>(Retry));
-      // The same marker shape (and attempt indices) as the interpreter
-      // recovery loop, so journals read identically across engines.
-      if (Retry > 0 && T.Obs.Trace)
-        Result.Trace.push_back({Attempts,
-                                {0, static_cast<uint64_t>(Retry),
-                                 obs::TraceEventKind::Retry,
-                                 obs::OpKind::PreciseInt, 0}});
-      if (T.Obs.Trace)
-        Result.Trace.push_back(
-            {Attempts,
-             {0, static_cast<uint64_t>(AttemptConfig.Level),
-              obs::TraceEventKind::AttemptBegin, obs::OpKind::PreciseInt,
-              0}});
-      std::optional<env::PowerMeter> Meter;
-      if (T.Power) {
-        Meter.emplace(*T.Power, AttemptConfig);
-        if (T.Obs.Trace) {
-          int AttemptIndex = Attempts;
-          Meter->Events = [&Result, AttemptIndex](env::PowerEventKind Kind,
-                                                  uint64_t At) {
-            Result.Trace.push_back({AttemptIndex,
-                                    {At, At, powerEventKind(Kind),
-                                     obs::OpKind::PreciseInt, 0}});
-          };
-        }
-      }
-      exec::CompiledTrialResult R = exec::runCompiledTrial(
-          *Kernel, AttemptConfig, T.WorkloadSeed, T.Obs.Metrics,
-          BlockMode::Batched, Meter ? &*Meter : nullptr, Policy.OpBudget);
-      ++Attempts;
-      Result.Stats = R.Stats;
-      Result.Energy = computeEnergy(R.Stats, AttemptConfig);
-      Result.FinalLevel = AttemptConfig.Level;
-      Result.Error = R.Error;
-      Result.ClockCycles = R.Cycles;
-      double Overhead = 1.0;
-      bool PowerDead = false;
-      if (Meter) {
-        accumulatePower(Result.Power, Meter->stats());
-        Overhead = Meter->stats().overheadRatio();
-        LastMix = Meter->opMix();
-        PowerDead = Meter->failed();
-      }
-      EnergySum += Result.Energy.TotalFactor * Overhead;
-      Result.QosError = (R.Trapped || PowerDead) ? 1.0 : R.QosError;
-      if (T.Obs.Metrics)
-        Result.Metrics = std::move(R.Metrics);
-      bool Accepted =
-          !R.Trapped && !PowerDead && Result.QosError <= Policy.Slo;
-      if (T.Obs.Trace) {
-        if (R.Trapped)
-          Result.Trace.push_back({Attempts - 1,
-                                  {R.Cycles, R.Cycles,
-                                   obs::TraceEventKind::Abort,
-                                   obs::OpKind::PreciseInt, 0}});
-        Result.Trace.push_back({Attempts - 1,
-                                {R.Cycles, Accepted ? 1u : 0u,
-                                 obs::TraceEventKind::AttemptEnd,
-                                 obs::OpKind::PreciseInt, 0}});
-      }
-      if (Accepted) {
-        Result.Outcome = LadderSteps > 0
-                             ? resilience::TrialOutcome::Degraded
-                         : Attempts > 1 ? resilience::TrialOutcome::Retried
-                                        : resilience::TrialOutcome::Ok;
-        Result.Attempts = Attempts;
-        Result.EffectiveEnergyFactor = EnergySum;
-        return Result;
-      }
-      Result.Outcome = PowerDead    ? resilience::TrialOutcome::PowerFailed
-                       : R.Trapped  ? resilience::TrialOutcome::Aborted
-                                    : resilience::TrialOutcome::SloViolated;
+    // A compiled trial runs each rung's own kernel, from the cache.
+    const exec::CompiledKernel *Kernel = T.Kernel;
+    if (Kernel && Kernel->Level != Config.Level) {
+      if (!T.Kernels)
+        break; // No program for this rung: keep the last attempt's verdict.
+      Kernel = &T.Kernels->get(Kernel->AppName, Config.Level);
     }
-    if (!advanceLadder(T, Policy, Result.Outcome, LastMix, Config,
-                       LadderSteps, Result, Attempts))
-      break;
-  }
-  // Every permitted attempt failed; Result holds the last attempt.
-  Result.Attempts = Attempts > 0 ? Attempts : 1;
-  Result.EffectiveEnergyFactor = EnergySum;
-  return Result;
-}
-
-} // namespace
-
-TrialResult TrialRunner::runOne(const Trial &T) {
-  if (T.Kernel)
-    return runCompiled(T);
-  // Same sequence as the historical serial path (apps::qosUnder followed
-  // by energy pricing): precise reference first, then the approximate run
-  // on a fresh Simulator whose seed mixSeed derives from the trial alone.
-  apps::AppOutput Reference = apps::runPrecise(*T.App, T.WorkloadSeed);
-  TrialResult Result;
-  Result.FinalLevel = T.Config.Level;
-  if (!T.Obs.enabled() && !T.Power) {
-    apps::AppRun Run = apps::runApproximate(*T.App, T.Config, T.WorkloadSeed);
-    Result.QosError = T.App->qosError(Reference, Run.Output);
-    Result.Stats = Run.Stats;
-    Result.Energy = computeEnergy(Run.Stats, T.Config);
-    Result.EffectiveEnergyFactor = Result.Energy.TotalFactor;
-    return Result;
-  }
-
-  // Instrumented and/or power-metered path: the simulator executes the
-  // identical run (runAttempt derives the same seed), plus containment so
-  // a watchdog abort still yields the partial metrics up to the abort
-  // point.
-  Attempt A = runAttempt(*T.App, T.Config, T.WorkloadSeed, T.Obs, T.Power);
-  Result.Stats = A.Run.Stats;
-  Result.Energy = computeEnergy(A.Run.Stats, T.Config);
-  Result.EffectiveEnergyFactor =
-      Result.Energy.TotalFactor * A.Power.overheadRatio();
-  Result.Error = A.Error;
-  Result.ClockCycles = A.EndCycle;
-  Result.Power = A.Power;
-  if (A.PowerFailed) {
-    Result.QosError = 1.0;
-    Result.Outcome = resilience::TrialOutcome::PowerFailed;
-  } else if (A.Aborted) {
-    Result.QosError = 1.0;
-    Result.Outcome = resilience::TrialOutcome::Aborted;
-  } else {
-    Result.QosError = T.App->qosError(Reference, A.Run.Output);
-  }
-  if (T.Obs.Trace)
-    collectAttemptTrace(Result, A, 0, T.Config.Level,
-                        !A.Aborted && !A.PowerFailed);
-  Result.Metrics = std::move(A.Metrics);
-  return Result;
-}
-
-TrialResult TrialRunner::runOne(const Trial &T,
-                                const resilience::ResiliencePolicy &Policy) {
-  if (!Policy.Enabled)
-    return runOne(T);
-  if (T.Kernel)
-    return runCompiledResilient(T, Policy);
-
-  apps::AppOutput Reference = apps::runPrecise(*T.App, T.WorkloadSeed);
-  FaultConfig Config = T.Config;
-  Config.OpBudgetOps = Policy.OpBudget;
-
-  TrialResult Result;
-  int LadderSteps = 0;
-  int Attempts = 0;
-  double EnergySum = 0.0;
-  std::array<uint64_t, env::NumPowerOpClasses> LastMix{};
-  for (;;) {
-    for (int Retry = 0; Retry <= Policy.MaxRetries; ++Retry) {
+    for (int Retry = 0; Retry <= MaxRetries; ++Retry) {
       FaultConfig AttemptConfig = Config;
-      // Retry fault streams are pure functions of (config seed, attempt):
-      // runAttempt then folds in the workload seed, so the effective seed
-      // is mixSeed(mixSeed(config seed, attempt), workload seed). The
-      // first attempt keeps the unmixed seed — bit-identical to the
-      // no-policy path.
-      if (Retry > 0)
-        AttemptConfig.Seed =
-            mixSeed(Config.Seed, static_cast<uint64_t>(Retry));
-      if (Retry > 0 && T.Obs.Trace)
-        Result.Trace.push_back({Attempts,
-                                {0, static_cast<uint64_t>(Retry),
-                                 obs::TraceEventKind::Retry,
-                                 obs::OpKind::PreciseInt, 0}});
+      if (Retry > 0) {
+        AttemptConfig.Seed = mixSeed(Config.Seed, static_cast<uint64_t>(Retry));
+        if (T.Obs.Trace)
+          Result.Trace.push_back(marker(Attempts, 0,
+                                        static_cast<uint64_t>(Retry),
+                                        obs::TraceEventKind::Retry));
+      }
       Attempt A =
-          runAttempt(*T.App, AttemptConfig, T.WorkloadSeed, T.Obs, T.Power);
+          Kernel ? runCompiledAttempt(*Kernel, T, AttemptConfig)
+                 : runInterpAttempt(T, AttemptConfig, Reference, Policy);
       ++Attempts;
-      Result.Stats = A.Run.Stats;
-      Result.Energy = computeEnergy(A.Run.Stats, AttemptConfig);
+      Result.Stats = A.Stats;
+      Result.Energy = computeEnergy(A.Stats, AttemptConfig);
       Result.FinalLevel = AttemptConfig.Level;
       Result.Error = A.Error;
       Result.ClockCycles = A.EndCycle;
       EnergySum += Result.Energy.TotalFactor * A.Power.overheadRatio();
       accumulatePower(Result.Power, A.Power);
       LastMix = A.PowerMix;
-
-      bool Sane = !A.Aborted && resilience::outputSane(
-                                    A.Run.Output.Numeric,
-                                    Policy.OutputAbsBound);
-      Result.QosError = (A.Aborted || A.PowerFailed || !Sane)
-                            ? 1.0
-                            : T.App->qosError(Reference, A.Run.Output);
-      bool Accepted = !A.Aborted && !A.PowerFailed && Sane &&
-                      Result.QosError <= Policy.Slo;
+      Result.QosError = A.failed() ? 1.0 : A.QosError;
+      bool Accepted =
+          !A.failed() && (!Policy.Enabled || Result.QosError <= Policy.Slo);
       if (T.Obs.Trace)
         collectAttemptTrace(Result, A, Attempts - 1, AttemptConfig.Level,
                             Accepted);
@@ -514,57 +293,70 @@ TrialResult TrialRunner::runOne(const Trial &T,
           Result.Metrics.internRegion(Prev.regionName(R));
       }
       if (Accepted) {
-        Result.Outcome = LadderSteps > 0
-                             ? resilience::TrialOutcome::Degraded
-                         : Attempts > 1 ? resilience::TrialOutcome::Retried
-                                        : resilience::TrialOutcome::Ok;
+        Result.Outcome = LadderSteps > 0 ? TrialOutcome::Degraded
+                         : Attempts > 1  ? TrialOutcome::Retried
+                                         : TrialOutcome::Ok;
         Result.Attempts = Attempts;
         Result.EffectiveEnergyFactor = EnergySum;
         return Result;
       }
-      Result.Outcome = A.PowerFailed ? resilience::TrialOutcome::PowerFailed
-                       : A.Aborted   ? resilience::TrialOutcome::Aborted
-                                     : resilience::TrialOutcome::SloViolated;
+      Result.Outcome = A.PowerFailed ? TrialOutcome::PowerFailed
+                       : A.Aborted   ? TrialOutcome::Aborted
+                                     : TrialOutcome::SloViolated;
     }
-    if (!advanceLadder(T, Policy, Result.Outcome, LastMix, Config,
-                       LadderSteps, Result, Attempts))
+    if (!advanceLadder(T, Policy, LastMix, Config, Result, Attempts))
       break;
+    ++LadderSteps;
   }
   // Every permitted attempt failed; Result holds the last attempt.
-  Result.Attempts = Attempts;
+  Result.Attempts = std::max(Attempts, 1);
   Result.EffectiveEnergyFactor = EnergySum;
   return Result;
 }
 
-std::vector<TrialResult> TrialRunner::run(
-    const std::vector<Trial> &Trials) const {
-  return run(Trials, resilience::ResiliencePolicy{});
+} // namespace
+
+TrialResult TrialRunner::runOne(const Trial &T) {
+  return runOne(T, ResiliencePolicy{});
+}
+
+TrialResult TrialRunner::runOne(const Trial &T,
+                                const ResiliencePolicy &Policy) {
+  // Containment at the trial boundary: what escapes the attempt loop (a
+  // throwing precise reference, a kernel that fails to lower, a non-std
+  // exception) becomes a failed result instead of std::terminate tearing
+  // down the pool.
+  std::string Error;
+  try {
+    return runAttempts(T, Policy);
+  } catch (const std::exception &E) {
+    Error = E.what();
+  } catch (...) {
+    Error = "unknown exception escaped the trial";
+  }
+  TrialResult Failed;
+  Failed.QosError = 1.0;
+  Failed.Outcome = TrialOutcome::Aborted;
+  Failed.FinalLevel = T.Config.Level;
+  Failed.EffectiveEnergyFactor = 0.0;
+  Failed.Error = std::move(Error);
+  return Failed;
 }
 
 std::vector<TrialResult> TrialRunner::run(
-    const std::vector<Trial> &Trials,
-    const resilience::ResiliencePolicy &Policy) const {
+    const std::vector<Trial> &Trials) const {
+  return run(Trials, ResiliencePolicy{});
+}
+
+std::vector<TrialResult> TrialRunner::run(
+    const std::vector<Trial> &Trials, const ResiliencePolicy &Policy) const {
   return run(Trials, Policy, ProgressFn());
 }
 
-std::vector<TrialResult> TrialRunner::run(
-    const std::vector<Trial> &Trials,
-    const resilience::ResiliencePolicy &Policy,
-    const ProgressFn &Progress) const {
+std::vector<TrialResult> TrialRunner::run(const std::vector<Trial> &Trials,
+                                          const ResiliencePolicy &Policy,
+                                          const ProgressFn &Progress) const {
   std::vector<TrialResult> Results(Trials.size());
-  unsigned Workers = Threads;
-  if (Workers > Trials.size())
-    Workers = static_cast<unsigned>(Trials.size());
-
-  if (Workers <= 1) {
-    for (size_t I = 0; I < Trials.size(); ++I) {
-      Results[I] = runContained(Trials[I], Policy);
-      if (Progress)
-        Progress(I + 1, Results[I]);
-    }
-    return Results;
-  }
-
   // Lock-free work queue: one atomic ticket counter; each worker owns the
   // disjoint result slots of the trials it claims, so no further
   // synchronization is needed until join. Progress notification is the
@@ -579,7 +371,7 @@ std::vector<TrialResult> TrialRunner::run(
       size_t I = Next.fetch_add(1, std::memory_order_relaxed);
       if (I >= Trials.size())
         return;
-      Results[I] = runContained(Trials[I], Policy);
+      Results[I] = runOne(Trials[I], Policy);
       if (Progress) {
         std::lock_guard<std::mutex> Lock(ProgressMutex);
         Progress(++Done, Results[I]);
@@ -587,9 +379,14 @@ std::vector<TrialResult> TrialRunner::run(
     }
   };
 
+  size_t Workers = std::min<size_t>(Threads, Trials.size());
+  if (Workers <= 1) {
+    Worker(); // Inline: a single worker needs no thread.
+    return Results;
+  }
   std::vector<std::thread> Pool;
   Pool.reserve(Workers);
-  for (unsigned W = 0; W < Workers; ++W)
+  for (size_t W = 0; W < Workers; ++W)
     Pool.emplace_back(Worker);
   for (std::thread &T : Pool)
     T.join();

@@ -22,19 +22,29 @@
 /// bitwise identical for any thread count and any scheduling — the
 /// determinism suite pins this for all nine apps at all three levels.
 ///
-/// The runner is fault tolerant. Exceptions are caught at the trial
-/// boundary and reported as a failed trial (TrialOutcome::Aborted) —
-/// a throwing application can never tear down the pool. Under an active
-/// resilience::ResiliencePolicy a trial additionally becomes a recovery
-/// process: attempts that miss the QoS SLO, fail the output sanity
-/// check, or trip the simulator's op-budget watchdog are re-executed
-/// with retry fault streams keyed by mixSeed(config seed, attempt) —
-/// then mixSeed(·, workload seed) — and, when retries are exhausted,
-/// stepped down the deterministic degradation ladder. Every attempt is
-/// charged to EffectiveEnergyFactor, so re-execution honestly shrinks
-/// the claimed savings. Because the retry seeds are pure functions of
-/// the trial identity and the attempt number, the whole recovery process
-/// stays bitwise deterministic at any thread count.
+/// Every trial, on either engine and with or without a policy, runs
+/// through one attempt loop. An attempt executes the application once —
+/// interpreted on a Simulator, or as the trial's compiled kernel on a
+/// FastMachine — and reports its statistics, clock, power accounting,
+/// telemetry and QoS error in one record. The loop prices and sums the
+/// energy, classifies the outcome and records the timeline markers.
+/// Without an active policy it stops after one attempt. Under an active
+/// resilience::ResiliencePolicy a trial becomes a recovery process:
+/// attempts that miss the QoS SLO, fail the output sanity check, or trip
+/// the op-budget watchdog are re-executed with retry fault streams keyed
+/// by mixSeed(config seed, attempt) — then mixSeed(·, workload seed) —
+/// and, when retries are exhausted, stepped down the deterministic
+/// degradation ladder. Every attempt is charged to EffectiveEnergyFactor,
+/// so re-execution honestly shrinks the claimed savings. Because the
+/// retry seeds are pure functions of the trial identity and the attempt
+/// number, the whole recovery process stays bitwise deterministic at any
+/// thread count.
+///
+/// The runner is fault tolerant. An exception inside an attempt ends
+/// that attempt as aborted with its partial statistics; one that escapes
+/// the loop (say, from the precise reference run) becomes a failed trial
+/// (TrialOutcome::Aborted). A throwing application never tears down the
+/// pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +80,7 @@ struct Trial {
   /// What telemetry to collect (default: none — the zero-cost path,
   /// byte-identical to the pre-telemetry harness). Collection never
   /// perturbs the measured run; only ForceRegionPrecise does, by design.
-  obs::TelemetryRequest Obs;
+  obs::TelemetryRequest Obs{};
   /// Non-null selects the compiled execution path: the trial runs this
   /// verified ISA kernel on the batched-fault FastMachine instead of
   /// interpreting the application. The kernel must belong to the
@@ -101,7 +111,8 @@ struct TrialResult {
   /// The statistics priced at the recorded attempt's config (Server).
   EnergyReport Energy;
 
-  /// How the trial concluded (always Ok when no policy is active).
+  /// How the trial concluded (Ok, Aborted or PowerFailed when no policy
+  /// is active).
   resilience::TrialOutcome Outcome = resilience::TrialOutcome::Ok;
   /// Executions charged, >= 1 (1 = no re-execution).
   int Attempts = 1;
@@ -114,10 +125,9 @@ struct TrialResult {
   /// Message of the contained exception, when one was caught.
   std::string Error;
 
-  /// The simulator's logical clock when the recorded attempt ended
-  /// (MemoryLedger::now(): one tick per dynamic op / DRAM access). Only
-  /// filled on the instrumented path — 0 when no telemetry was
-  /// requested.
+  /// The engine's logical clock when the recorded attempt ended
+  /// (MemoryLedger::now(): one tick per dynamic op / DRAM access), with
+  /// or without telemetry. 0 only when no attempt ran.
   uint64_t ClockCycles = 0;
   /// Per-site metrics of the *recorded* attempt (parallel to Stats).
   /// Empty unless the trial's TelemetryRequest asked for metrics.
@@ -146,13 +156,14 @@ public:
 
   unsigned threads() const { return Threads; }
 
-  /// Runs one trial on the calling thread with no policy. May propagate
-  /// application exceptions; run() contains them at the trial boundary.
+  /// Runs one trial on the calling thread with no policy: one attempt,
+  /// no SLO or sanity check, under the trial's own op budget. Never
+  /// throws; exceptions become an Aborted result.
   static TrialResult runOne(const Trial &T);
 
   /// Runs one trial under \p Policy: the SLO / sanity / watchdog checks
   /// plus the retry-and-degrade recovery loop described in the header.
-  /// A disabled policy reduces to runOne(T), byte for byte.
+  /// A disabled policy reduces to runOne(T), byte for byte. Never throws.
   static TrialResult runOne(const Trial &T,
                             const resilience::ResiliencePolicy &Policy);
 

@@ -176,31 +176,6 @@ void buildTrial(const Journal &J, const std::string &KernelDir,
   }
 }
 
-/// The grid's trial-boundary containment, reproduced exactly: a journal
-/// of a contained abort must replay to the identical failed result.
-harness::TrialResult runContained(const harness::Trial &T,
-                                  const resilience::ResiliencePolicy &Policy) {
-  try {
-    return harness::TrialRunner::runOne(T, Policy);
-  } catch (const std::exception &E) {
-    harness::TrialResult Failed;
-    Failed.QosError = 1.0;
-    Failed.Outcome = resilience::TrialOutcome::Aborted;
-    Failed.FinalLevel = T.Config.Level;
-    Failed.EffectiveEnergyFactor = 0.0;
-    Failed.Error = E.what();
-    return Failed;
-  } catch (...) {
-    harness::TrialResult Failed;
-    Failed.QosError = 1.0;
-    Failed.Outcome = resilience::TrialOutcome::Aborted;
-    Failed.FinalLevel = T.Config.Level;
-    Failed.EffectiveEnergyFactor = 0.0;
-    Failed.Error = "unknown exception escaped the trial";
-    return Failed;
-  }
-}
-
 } // namespace
 
 JournalDigest enerj::obs::digestOf(const harness::TrialResult &Result) {
@@ -560,7 +535,7 @@ ReplayResult enerj::obs::replayJournal(const Journal &J,
   ReplayContext Ctx;
   buildTrial(J, KernelDir, Ctx);
   ReplayResult R;
-  R.Result = runContained(Ctx.T, J.Policy);
+  R.Result = harness::TrialRunner::runOne(Ctx.T, J.Policy);
   R.RecordedJson = renderDigestJson(J.Digest);
   R.ReplayedJson = renderDigestJson(digestOf(R.Result));
   R.Match = R.RecordedJson == R.ReplayedJson;
@@ -602,7 +577,8 @@ std::vector<BlameRow> enerj::obs::blameJournal(const Journal &J) {
     ReplayContext Ctx;
     buildTrial(J, "", Ctx);
     Ctx.T.Obs.ForceRegionPrecise = Row.Region;
-    harness::TrialResult Forced = runContained(Ctx.T, J.Policy);
+    harness::TrialResult Forced =
+        harness::TrialRunner::runOne(Ctx.T, J.Policy);
     Row.ForcedQos = Forced.QosError;
     Row.QosDelta = J.Digest.Qos - Forced.QosError;
   }

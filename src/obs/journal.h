@@ -80,9 +80,8 @@ struct Journal {
   FaultConfig Config; ///< The trial's full fault configuration (level,
                       ///< mode, seed, toggles, overrides — its identity).
   uint64_t WorkloadSeed = 1;
-  TelemetryRequest Obs; ///< The telemetry the trial ran with; replay must
-                        ///< reconstruct it exactly (ClockCycles is only
-                        ///< filled on the instrumented path).
+  TelemetryRequest Obs; ///< The telemetry the trial ran with; replay
+                        ///< reconstructs it exactly.
   resilience::ResiliencePolicy Policy;
 
   bool PowerArmed = false;

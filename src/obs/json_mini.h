@@ -35,8 +35,18 @@ namespace json {
 
 // --- Writer -------------------------------------------------------------
 
+/// Appends \p S as JSON string content: quotes and backslashes are
+/// backslash-escaped, bytes below 0x20 become \u00XX.
 inline void appendEscaped(std::string &Out, const std::string &S) {
+  static const char Hex[] = "0123456789abcdef";
   for (char C : S) {
+    unsigned char Byte = static_cast<unsigned char>(C);
+    if (Byte < 0x20) {
+      Out += "\\u00";
+      Out.push_back(Hex[Byte >> 4]);
+      Out.push_back(Hex[Byte & 0xF]);
+      continue;
+    }
     if (C == '"' || C == '\\')
       Out.push_back('\\');
     Out.push_back(C);

@@ -3,16 +3,22 @@
 // Black-box tests of the bound subcommand: the JSON report (schema v1)
 // is pinned byte-for-byte against goldens, is bytewise stable across
 // runs, level None reports every bound as exactly 1.0, argv validation
-// exits 2, and the per-site text view lists endorsement sites. The
+// exits 2, the per-site text view lists endorsement sites, and a file
+// name with quote, backslash and control bytes still yields valid JSON
+// from both bound and opt. The
 // binary path comes from ENERJ_FENERJ_TOOL, kernels from ENERJ_FEJ_DIR.
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/json_mini.h"
+
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <string>
+#include <unistd.h>
 
 #ifndef ENERJ_FENERJ_TOOL
 #error "ENERJ_FENERJ_TOOL must point at the fenerj_tool binary"
@@ -144,4 +150,34 @@ TEST(CliBound, ArgvValidation) {
   EXPECT_EQ(runTool("bound " + isaKernel("fft.fej") + " --level"), 2);
   EXPECT_EQ(runTool("bound /nonexistent/missing.fej"), 1);
   EXPECT_EQ(runTool("bound"), 2);
+}
+
+TEST(CliBound, HostileFileNameStillYieldsValidJson) {
+  // The file name is echoed into the report: a quote, a backslash and a
+  // control byte must all come out escaped, for bound and for opt.
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::temp_directory_path() /
+                 ("enerj_cli_bound_" + std::to_string(getpid()));
+  fs::create_directories(Dir);
+  std::string Hostile = (Dir / "q\"x\\y\x01z.fej").string();
+  fs::copy_file(isaKernel("fft.fej"), Hostile,
+                fs::copy_options::overwrite_existing);
+  for (const char *Mode : {"bound", "opt"}) {
+    SCOPED_TRACE(Mode);
+    std::string Output;
+    ASSERT_EQ(runTool(std::string(Mode) + " '" + Hostile + "' --json", Output),
+              0);
+    // Strict JSON carries no raw control bytes; only the final newline.
+    ASSERT_FALSE(Output.empty());
+    EXPECT_EQ(Output.back(), '\n');
+    for (size_t I = 0; I + 1 < Output.size(); ++I)
+      EXPECT_GE(static_cast<unsigned char>(Output[I]), 0x20u) << "at " << I;
+    enerj::obs::json::Value Doc;
+    std::string Error;
+    ASSERT_TRUE(enerj::obs::json::parse(Output, &Doc, &Error)) << Error;
+    const enerj::obs::json::Value *File = Doc.find("file");
+    ASSERT_NE(File, nullptr);
+    EXPECT_EQ(File->Text, Hostile);
+  }
+  fs::remove_all(Dir);
 }

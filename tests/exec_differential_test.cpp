@@ -393,8 +393,9 @@ TEST(ExecDifferential, RecoveryLoopEnforcesTheSameContractOnBothPaths) {
           << B.Qos.Mean;
       // A cell whose plain mean already beat the SLO should mostly be
       // accepted as-is; one that did not must show interventions.
-      if (A.Qos.Min > 0.1)
+      if (A.Qos.Min > 0.1) {
         EXPECT_GT(B.Outcomes.Retried + B.Outcomes.Degraded, 0u);
+      }
     }
   }
 }

@@ -6,15 +6,18 @@
 // clock-advancing operation is a ticking site, and therefore the
 // merged registry reconciles exactly with both the ledger clock and
 // the operation statistics. Also pins the zero-perturbation contract:
-// an instrumented run is bitwise identical to an uninstrumented one.
+// an instrumented run is bitwise identical to an uninstrumented one,
+// including a run that throws part way through.
 //
 //===----------------------------------------------------------------------===//
 
 #include "harness/trial.h"
 #include "obs/metrics.h"
+#include "runtime/simulator.h"
 
 #include <cstring>
 #include <gtest/gtest.h>
+#include <stdexcept>
 
 using namespace enerj;
 using namespace enerj::harness;
@@ -35,6 +38,28 @@ uint64_t kindTotal(const obs::MetricsRegistry &M, obs::OpKind Kind) {
       Sum += M.site(I).Count;
   return Sum;
 }
+
+/// Counts 1000 precise ops under a simulator, then throws; the precise
+/// reference run (no simulator) completes normally.
+class ThrowAfterWorkApp : public apps::Application {
+public:
+  const char *name() const override { return "throw-after-work"; }
+  const char *description() const override { return "test double"; }
+  const char *qosMetricName() const override { return "none"; }
+  apps::AnnotationStats annotations() const override { return {}; }
+  apps::AppOutput run(uint64_t) const override {
+    if (Simulator *Sim = Simulator::current()) {
+      for (int I = 0; I < 1000; ++I)
+        Sim->countPreciseInt();
+      throw std::runtime_error("deliberate failure after work");
+    }
+    return {{1.0}, {}, {}};
+  }
+  double qosError(const apps::AppOutput &,
+                  const apps::AppOutput &) const override {
+    return 0.0;
+  }
+};
 
 } // namespace
 
@@ -108,11 +133,45 @@ TEST(ObsTickAudit, ObservationNeverPerturbsTheMeasuredRun) {
               bitsOf(On.Stats.Storage.DramApprox));
     EXPECT_EQ(bitsOf(Off.Energy.TotalFactor),
               bitsOf(On.Energy.TotalFactor));
+    // Both paths read the clock; only the telemetry is optional.
+    EXPECT_EQ(Off.ClockCycles, On.ClockCycles);
     // The zero-cost path really collected nothing.
-    EXPECT_EQ(Off.ClockCycles, 0u);
     EXPECT_EQ(Off.Metrics.totalOps(), 0u);
     EXPECT_TRUE(Off.Trace.empty());
   }
+}
+
+TEST(ObsTickAudit, ThrowingTrialRecordsTheSameWithAndWithoutTelemetry) {
+  // A trial that throws mid-run keeps its partial statistics and energy
+  // whether or not telemetry is on: observation never changes what the
+  // harness records, even for an aborted attempt.
+  ThrowAfterWorkApp App;
+  Trial Plain;
+  Plain.App = &App;
+  Plain.Config = FaultConfig::preset(ApproxLevel::Medium);
+  Trial Instrumented = Plain;
+  Instrumented.Obs.Metrics = true;
+
+  std::vector<TrialResult> Results =
+      TrialRunner(1).run({Plain, Instrumented});
+  ASSERT_EQ(Results.size(), 2u);
+  const TrialResult &Off = Results[0];
+  const TrialResult &On = Results[1];
+
+  EXPECT_EQ(Off.Outcome, resilience::TrialOutcome::Aborted);
+  EXPECT_EQ(Off.Outcome, On.Outcome);
+  EXPECT_EQ(Off.Error, "deliberate failure after work");
+  EXPECT_EQ(Off.Error, On.Error);
+  EXPECT_EQ(Off.Stats.Ops.PreciseInt, 1000u);
+  EXPECT_EQ(Off.Stats.Ops.PreciseInt, On.Stats.Ops.PreciseInt);
+  EXPECT_EQ(Off.Stats.Ops.ApproxInt, On.Stats.Ops.ApproxInt);
+  EXPECT_EQ(Off.Stats.Ops.PreciseFp, On.Stats.Ops.PreciseFp);
+  EXPECT_EQ(Off.Stats.Ops.ApproxFp, On.Stats.Ops.ApproxFp);
+  EXPECT_GT(Off.EffectiveEnergyFactor, 0.0);
+  EXPECT_EQ(bitsOf(Off.EffectiveEnergyFactor),
+            bitsOf(On.EffectiveEnergyFactor));
+  EXPECT_EQ(Off.ClockCycles, 1000u);
+  EXPECT_EQ(Off.ClockCycles, On.ClockCycles);
 }
 
 TEST(ObsTickAudit, RegionStorageSumsToTheGlobalSnapshot) {

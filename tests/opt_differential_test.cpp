@@ -74,8 +74,9 @@ std::optional<isa::IsaProgram> compileCorpus(const std::string &Path) {
   std::optional<isa::IsaProgram> Binary =
       isa::assemble(Code.Assembly, Errors);
   EXPECT_TRUE(Binary.has_value()) << Path;
-  if (Binary)
+  if (Binary) {
     EXPECT_TRUE(isa::verify(*Binary).empty()) << Path;
+  }
   return Binary;
 }
 
