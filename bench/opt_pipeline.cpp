@@ -1,14 +1,13 @@
 //===- bench/opt_pipeline.cpp - Optimizer impact across the corpus --------===//
 //
-// The perf trajectory for the qualifier-aware optimizer: every ISA-subset
+// What the qualifier-aware optimizer buys on each kernel: every ISA-subset
 // kernel in examples/fej/isa/ is compiled, assembled, and run at -O0 and
 // at -O1 (the validated default pipeline). For each app the bench reports
-// the static instruction-count and Table-2 energy-factor reduction plus
-// the measured dynamic cost — trials per second over repeated seeded
-// machine runs — and writes the whole table to BENCH_opt.json so CI can
-// track the trend across commits.
+// the static instruction count, the dynamic instruction count of one
+// fault-free run, and the Table-2 energy factor, before and after. Every
+// figure is deterministic; run time is perfbench's job.
 //
-// Usage: opt_pipeline [trials] [output.json]
+// Usage: opt_pipeline
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,10 +19,7 @@
 #include "isa/verifier.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -37,14 +33,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-struct AppResult {
-  std::string Name;
-  size_t OpsBefore = 0, OpsAfter = 0;
-  double EnergyFactorBefore = 1.0, EnergyFactorAfter = 1.0;
-  uint64_t DynBefore = 0, DynAfter = 0; ///< Instructions per trial.
-  double TrialsPerSecO0 = 0.0, TrialsPerSecO1 = 0.0;
-};
-
 std::optional<std::string> readFile(const fs::path &Path) {
   std::ifstream In(Path);
   if (!In)
@@ -54,36 +42,15 @@ std::optional<std::string> readFile(const fs::path &Path) {
   return Buffer.str();
 }
 
-/// Seeded machine runs over one binary; returns trials/sec and the
-/// per-trial dynamic instruction count (identical across seeds only at
-/// level None, so the first trial's count is reported as representative).
-double timeTrials(const isa::IsaProgram &Binary, int Trials,
-                  uint64_t &DynOut) {
-  using Clock = std::chrono::steady_clock;
-  FaultConfig Config = FaultConfig::preset(ApproxLevel::Medium);
-  Clock::time_point Start = Clock::now();
-  for (int Seed = 1; Seed <= Trials; ++Seed) {
-    Config.Seed = static_cast<uint64_t>(Seed) * 7919;
-    isa::Machine M(Binary, Config);
-    isa::MachineResult Result = M.run(50'000'000);
-    if (Seed == 1)
-      DynOut = Result.InstructionsExecuted;
-  }
-  double Seconds =
-      std::chrono::duration<double>(Clock::now() - Start).count();
-  return Seconds > 0 ? Trials / Seconds : 0.0;
+/// Instructions executed by one fault-free run of \p Binary.
+uint64_t dynamicCount(const isa::IsaProgram &Binary) {
+  isa::Machine M(Binary, FaultConfig::preset(ApproxLevel::None));
+  return M.run(50'000'000).InstructionsExecuted;
 }
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  int Trials = 30;
-  std::string OutPath = "BENCH_opt.json";
-  if (Argc > 1)
-    Trials = std::max(1, std::atoi(Argv[1]));
-  if (Argc > 2)
-    OutPath = Argv[2];
-
+int main() {
   fs::path KernelDir = fs::path(ENERJ_FEJ_DIR) / "isa";
   std::vector<fs::path> Files;
   for (const fs::directory_entry &Entry : fs::directory_iterator(KernelDir))
@@ -96,17 +63,14 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  std::printf("Optimizer impact across the ISA corpus (%d trials per "
-              "config, level medium)\n\n",
-              Trials);
-  std::printf("%-14s %6s %6s %7s %9s %9s %10s %10s\n", "app", "ops0",
-              "ops1", "dynΔ%", "factor0", "factor1", "trials/s0",
-              "trials/s1");
-  for (int I = 0; I < 78; ++I)
+  std::printf("Optimizer impact across the ISA corpus (dynamic counts "
+              "from one fault-free run)\n\n");
+  std::printf("%-14s %6s %6s %9s %9s %7s %9s %9s\n", "app", "ops0", "ops1",
+              "dyn0", "dyn1", "dynΔ%", "factor0", "factor1");
+  for (int I = 0; I < 76; ++I)
     std::putchar('-');
   std::printf("\n");
 
-  std::vector<AppResult> Results;
   for (const fs::path &File : Files) {
     std::optional<std::string> Source = readFile(File);
     if (!Source) {
@@ -153,71 +117,17 @@ int main(int Argc, char **Argv) {
       return 1;
     }
 
-    AppResult R;
-    R.Name = File.stem().string();
-    R.OpsBefore = Report.OpsBefore;
-    R.OpsAfter = Report.OpsAfter;
-    R.EnergyFactorBefore = Report.EnergyBefore.factor();
-    R.EnergyFactorAfter = Report.EnergyAfter.factor();
-    R.TrialsPerSecO0 = timeTrials(*Binary, Trials, R.DynBefore);
-    R.TrialsPerSecO1 = timeTrials(Optimized, Trials, R.DynAfter);
-    Results.push_back(R);
-
+    uint64_t DynBefore = dynamicCount(*Binary);
+    uint64_t DynAfter = dynamicCount(Optimized);
     double DynDelta =
-        R.DynBefore > 0
-            ? 100.0 * (static_cast<double>(R.DynBefore) -
-                       static_cast<double>(R.DynAfter)) /
-                  static_cast<double>(R.DynBefore)
-            : 0.0;
-    std::printf("%-14s %6zu %6zu %6.1f%% %9.4f %9.4f %10.0f %10.0f\n",
-                R.Name.c_str(), R.OpsBefore, R.OpsAfter, DynDelta,
-                R.EnergyFactorBefore, R.EnergyFactorAfter, R.TrialsPerSecO0,
-                R.TrialsPerSecO1);
+        DynBefore > 0 ? 100.0 * (1.0 - static_cast<double>(DynAfter) /
+                                           static_cast<double>(DynBefore))
+                      : 0.0;
+    std::printf("%-14s %6zu %6zu %9llu %9llu %6.1f%% %9.4f %9.4f\n",
+                File.stem().string().c_str(), Report.OpsBefore,
+                Report.OpsAfter, static_cast<unsigned long long>(DynBefore),
+                static_cast<unsigned long long>(DynAfter), DynDelta,
+                Report.EnergyBefore.factor(), Report.EnergyAfter.factor());
   }
-
-  double LogSpeedupSum = 0.0;
-  int SpeedupCount = 0;
-  for (const AppResult &R : Results)
-    if (R.TrialsPerSecO0 > 0 && R.TrialsPerSecO1 > 0) {
-      LogSpeedupSum += std::log(R.TrialsPerSecO1 / R.TrialsPerSecO0);
-      ++SpeedupCount;
-    }
-  double GeomeanSpeedup =
-      SpeedupCount > 0 ? std::exp(LogSpeedupSum / SpeedupCount) : 1.0;
-  std::printf("\ngeomean -O1 speedup: %.3fx over %d apps\n", GeomeanSpeedup,
-              SpeedupCount);
-
-  std::ofstream Out(OutPath);
-  if (!Out) {
-    std::fprintf(stderr, "opt_pipeline: cannot write %s\n", OutPath.c_str());
-    return 1;
-  }
-  Out << "{\n"
-      << "  \"tool\": \"opt_pipeline\",\n"
-      << "  \"version\": 1,\n"
-      << "  \"level\": \"medium\",\n"
-      << "  \"trials\": " << Trials << ",\n"
-      << "  \"apps\": [\n";
-  char Buffer[512];
-  for (size_t I = 0; I < Results.size(); ++I) {
-    const AppResult &R = Results[I];
-    std::snprintf(
-        Buffer, sizeof(Buffer),
-        "    {\"name\": \"%s\", \"opsBefore\": %zu, \"opsAfter\": %zu, "
-        "\"dynBefore\": %llu, \"dynAfter\": %llu, "
-        "\"energyFactorBefore\": %.6f, \"energyFactorAfter\": %.6f, "
-        "\"trialsPerSecO0\": %.1f, \"trialsPerSecO1\": %.1f}%s\n",
-        R.Name.c_str(), R.OpsBefore, R.OpsAfter,
-        static_cast<unsigned long long>(R.DynBefore),
-        static_cast<unsigned long long>(R.DynAfter), R.EnergyFactorBefore,
-        R.EnergyFactorAfter, R.TrialsPerSecO0, R.TrialsPerSecO1,
-        I + 1 < Results.size() ? "," : "");
-    Out << Buffer;
-  }
-  std::snprintf(Buffer, sizeof(Buffer),
-                "  ],\n  \"geomeanSpeedup\": %.4f\n}\n", GeomeanSpeedup);
-  Out << Buffer;
-  Out.close();
-  std::printf("wrote %s\n", OutPath.c_str());
   return 0;
 }
